@@ -278,6 +278,8 @@ pub fn encode_into(mode: &Compression, src: &[u8], dst: &mut Vec<u8>) {
     match mode {
         Compression::Off => encode_stored(src, dst),
         Compression::Lossless => {
+            dst.clear();
+            dst.reserve(max_encoded_len(src.len()));
             encode_words(src, dst);
             fallback_to_stored(src, dst);
         }
@@ -292,6 +294,15 @@ pub fn encode_into(mode: &Compression, src: &[u8], dst: &mut Vec<u8>) {
             fallback_to_stored(src, dst);
         }
     }
+}
+
+/// The most bytes a `Lossless` encoding of `len` logical bytes can take
+/// before the stored fallback: every 8-byte word as a 10-byte varint, the
+/// unaligned tail and the header. [`encode_into`] reserves it up front,
+/// so a lossless frame never regrows. (Error-bounded frames usually come
+/// out several times smaller than their input, so they grow on demand.)
+fn max_encoded_len(len: usize) -> usize {
+    len + len / 4 + 18
 }
 
 /// The logical (decoded) byte length recorded in a frame's header.
@@ -394,6 +405,33 @@ mod tests {
         let mut out = Vec::new();
         decode_into(&wire, &mut out);
         assert_eq!(out, src);
+    }
+
+    #[test]
+    fn lossless_encoding_fits_its_reserved_bound() {
+        // Alternating words with the top bit flipping make every XOR
+        // delta a full 10-byte varint: the encoder's worst case before it
+        // falls back to a stored frame.
+        for words in [0u64, 1, 2, 513] {
+            for tail in [0usize, 7] {
+                let mut src: Vec<u8> = (0..words)
+                    .flat_map(|i| if i % 2 == 0 { 0 } else { u64::MAX - i }.to_le_bytes())
+                    .collect();
+                src.extend(std::iter::repeat_n(0xa5, tail));
+                let mut wire = Vec::new();
+                encode_into(&Compression::Lossless, &src, &mut wire);
+                assert!(
+                    wire.capacity() <= max_encoded_len(src.len()),
+                    "grew past the bound"
+                );
+                let mut before_fallback = Vec::new();
+                encode_words(&src, &mut before_fallback);
+                assert!(
+                    before_fallback.len() <= max_encoded_len(src.len()),
+                    "bound too small"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use cc_array::{construct_runs, Hyperslab, Variable};
 use cc_model::{BufferRing, Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
-use cc_mpiio::exchange::exchange_requests;
+use cc_mpiio::exchange::exchange_and_plan;
 use cc_mpiio::{independent_read, Hints, PlanCache, PlanSchedule, PlanSource, Striping};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
@@ -282,9 +282,7 @@ fn run_collective_computing(
     hints.striping = Some(Striping::from(file.layout()));
 
     let request = var.byte_extents(slab);
-    let requests = exchange_requests(comm, &request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), &hints);
+    let schedule = exchange_and_plan(comm, &request, &hints, plans);
     // The request exchange is collective, so the tag counter is symmetric
     // across ranks here and this operation's result tag is unique to it.
     let results_tag = comm.next_engine_tag(TAG_RESULTS);

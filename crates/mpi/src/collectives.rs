@@ -14,10 +14,13 @@
 //! tag space of concurrent user p2p traffic disjoint from collective
 //! internals.
 
+use std::sync::Arc;
+
 use cc_model::SimTime;
 
 use crate::comm::{Comm, TagValue, COLLECTIVE_TAG_BASE};
 use crate::elem::Elem;
+use crate::hier::frame_sections;
 use crate::ops::ReduceOp;
 
 impl Comm {
@@ -142,32 +145,62 @@ impl Comm {
     /// ranks' contributions, indexed by rank. Ring algorithm when flat;
     /// hierarchical gather-to-zero plus frame broadcast otherwise.
     pub fn allgatherv<T: Elem>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
+        let gathered = self.allgatherv_raw(&crate::elem::encode_slice(mine));
+        let out = gathered
+            .blocks(self.nprocs())
+            .into_iter()
+            .map(crate::elem::decode_vec)
+            .collect();
+        gathered.recycle(self);
+        out
+    }
+
+    /// [`allgatherv`](Self::allgatherv) of byte blocks whose decoded form
+    /// every rank would compute identically. Posts exactly the messages of
+    /// `allgatherv` on the same blocks (same count, byte lengths and
+    /// departure times, so clocks and [`CommStats`](crate::CommStats) are
+    /// the same), but `decode` runs once per world, on the first rank to
+    /// hold every block, and every rank gets the same `Arc`; the flag is
+    /// true on the rank that ran `decode`. `decode` sees the blocks indexed
+    /// by rank; it must not communicate and may read no other rank-local
+    /// state (see [`slot`](crate::slot)).
+    pub fn allgatherv_shared<R, F>(&mut self, mine: &[u8], decode: F) -> (Arc<R>, bool)
+    where
+        R: Send + Sync + 'static,
+        F: FnOnce(&[&[u8]]) -> R,
+    {
+        // The sequence number this collective is about to take names it
+        // world-wide.
+        let key = self.collective_seq;
+        let gathered = self.allgatherv_raw(mine);
+        let nprocs = self.nprocs();
+        let shared = self.replicated(key, || decode(&gathered.blocks(nprocs)));
+        gathered.recycle(self);
+        shared
+    }
+
+    /// The message pattern behind both allgathers: the ring when flat, the
+    /// hierarchical gather plus frame broadcast otherwise.
+    fn allgatherv_raw(&mut self, mine: &[u8]) -> Gathered {
         let tag = self.next_collective_tag();
         if let Some(view) = self.hier_view() {
-            let bytes = crate::elem::encode_slice(mine);
-            return self
-                .hier_allgatherv_bytes(&view, &bytes, tag)
-                .into_iter()
-                .map(|b| crate::elem::decode_vec(&b))
-                .collect();
+            return Gathered::Frame(self.hier_allgatherv_frame(&view, mine, tag));
         }
         let p = self.nprocs();
         let rank = self.rank();
-        let mut blocks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        let mut blocks: Vec<Vec<u8>> = (0..p).map(|_| Vec::new()).collect();
         blocks[rank] = mine.to_vec();
-        if p == 1 {
-            return blocks;
-        }
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
-        for step in 0..p - 1 {
+        for step in 0..p.saturating_sub(1) {
             let send_block = (rank + p - step) % p;
             let recv_block = (rank + p - step - 1) % p;
-            self.send(right, tag, &blocks[send_block]);
-            let (data, _) = self.recv::<T>(left, tag);
-            blocks[recv_block] = data;
+            let mut buf = self.take_buf();
+            buf.extend_from_slice(&blocks[send_block]);
+            self.send_bytes(right, tag, buf);
+            blocks[recv_block] = self.recv_bytes(left, tag).0;
         }
-        blocks
+        Gathered::Blocks(blocks)
     }
 
     /// Personalized all-to-all exchange of variable-length byte buffers.
@@ -320,6 +353,31 @@ impl Comm {
             self.send(rank + 1, tag, &acc);
         }
         acc
+    }
+}
+
+/// What an allgather left on one rank: one block per rank (flat ring) or
+/// the hierarchical broadcast frame holding every block as a section.
+enum Gathered {
+    Blocks(Vec<Vec<u8>>),
+    Frame(Vec<u8>),
+}
+
+impl Gathered {
+    /// Every rank's block, indexed by rank.
+    fn blocks(&self, nprocs: usize) -> Vec<&[u8]> {
+        match self {
+            Gathered::Blocks(blocks) => blocks.iter().map(Vec::as_slice).collect(),
+            Gathered::Frame(frame) => frame_sections(frame, nprocs),
+        }
+    }
+
+    /// Hands the buffers back to `comm`'s pool.
+    fn recycle(self, comm: &mut Comm) {
+        match self {
+            Gathered::Blocks(blocks) => blocks.into_iter().for_each(|b| comm.recycle_buf(b)),
+            Gathered::Frame(frame) => comm.recycle_buf(frame),
+        }
     }
 }
 

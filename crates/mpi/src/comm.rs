@@ -19,6 +19,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::elem::{decode_vec, encode_slice_into, Elem};
 use crate::pool::BufferPool;
+use crate::slot::Slots;
 use crate::stats::CommStats;
 
 /// Message tag. Values with the top *nibble* set are reserved: bit 31 for
@@ -41,7 +42,7 @@ pub const SEQ_MASK: TagValue = 0x0fff_ffff;
 /// while holding mailbox locks, and the survivors still need to read the
 /// queues (for diagnostics) and unwind cleanly rather than cascade
 /// "poisoned" panics.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -138,6 +139,8 @@ pub(crate) struct Shared {
     /// legitimately leave one receive parked for a long real-time while
     /// its peers churn through other ranks' traffic).
     progress: AtomicU64,
+    /// Replicated values computed once for all ranks (see `slot.rs`).
+    pub(crate) slots: Slots,
 }
 
 impl Shared {
@@ -149,6 +152,7 @@ impl Shared {
             abort: Mutex::new(None),
             states: (0..nprocs).map(|_| RankState::default()).collect(),
             progress: AtomicU64::new(0),
+            slots: Slots::default(),
         })
     }
 
@@ -189,6 +193,7 @@ impl Shared {
             let _guard = lock_unpoisoned(&mb.queue);
             mb.arrived.notify_all();
         }
+        self.slots.wake_all();
     }
 
     /// The recorded abort cause, if any.
@@ -284,6 +289,11 @@ impl Comm {
     /// Number of ranks in the run.
     pub fn nprocs(&self) -> usize {
         self.nprocs
+    }
+
+    /// The state shared by every rank of this run.
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
     }
 
     /// The shared cluster cost model.

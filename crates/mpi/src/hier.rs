@@ -114,6 +114,13 @@ fn read_section<'f>(frame: &'f [u8], pos: &mut usize) -> &'f [u8] {
     body
 }
 
+/// The `nprocs` sections of a frame built by
+/// [`Comm::hier_allgatherv_frame`], indexed by rank.
+pub(crate) fn frame_sections(frame: &[u8], nprocs: usize) -> Vec<&[u8]> {
+    let mut pos = 0;
+    (0..nprocs).map(|_| read_section(frame, &mut pos)).collect()
+}
+
 impl Comm {
     /// This rank's node hierarchy when hierarchical collectives are
     /// active; `None` means callers must use the flat algorithms. Active
@@ -331,28 +338,24 @@ impl Comm {
     }
 
     /// Hierarchical allgather: gather everything to rank 0 (the leader of
-    /// node 0), then broadcast one frame holding all blocks.
-    pub(crate) fn hier_allgatherv_bytes(
+    /// node 0), then broadcast one frame holding all blocks. Returns the
+    /// frame; [`frame_sections`] splits it by rank.
+    pub(crate) fn hier_allgatherv_frame(
         &mut self,
         view: &NodeView,
         mine: &[u8],
         tag: TagValue,
-    ) -> Vec<Vec<u8>> {
+    ) -> Vec<u8> {
         let table = self.hier_gatherv_bytes(view, 0, mine, tag);
         let frame = table.map(|blocks| {
             let mut frame = self.take_buf();
+            frame.reserve(blocks.iter().map(|b| 8 + b.len()).sum());
             for block in &blocks {
                 push_section(&mut frame, block);
             }
             frame
         });
-        let frame = self.hier_bcast_bytes(view, 0, frame, tag);
-        let mut pos = 0;
-        let out = (0..self.nprocs())
-            .map(|_| read_section(&frame, &mut pos).to_vec())
-            .collect();
-        self.recycle_buf(frame);
-        out
+        self.hier_bcast_bytes(view, 0, frame, tag)
     }
 
     /// Hierarchical rank-order reduce: members fold into their leader in

@@ -30,6 +30,7 @@ pub mod elem;
 pub mod hier;
 pub mod ops;
 pub mod pool;
+pub mod slot;
 pub mod stats;
 pub mod world;
 

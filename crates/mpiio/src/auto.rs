@@ -6,8 +6,9 @@
 //! directly (with data sieving) and skip the shuffle entirely.
 //! [`collective_read_auto`] makes that call from a cheap allgather of
 //! per-rank bounding ranges — the same heuristic as ROMIO's
-//! `romio_cb_read = automatic`.
+//! `romio_cb_read = automatic` — decided once per world.
 
+use cc_mpi::elem::{decode_vec, encode_slice};
 use cc_mpi::Comm;
 use cc_pfs::{FileHandle, Pfs};
 
@@ -52,13 +53,16 @@ pub fn collective_read_auto(
         my_request.min_offset().unwrap_or(u64::MAX),
         my_request.max_end().unwrap_or(0),
     ];
-    let all = comm.allgatherv(&mine);
-    let bounds: Vec<(u64, u64)> = all
-        .iter()
-        .map(|b| (b[0], if b[1] == 0 { 0 } else { b[1] }))
-        .filter(|&(lo, hi)| lo != u64::MAX && hi > 0)
-        .collect();
-    if ranges_interleave(&bounds) {
+    let (interleaved, _) = comm.allgatherv_shared(&encode_slice(&mine), |blocks| {
+        let bounds: Vec<(u64, u64)> = blocks
+            .iter()
+            .map(|b| decode_vec::<u64>(b))
+            .map(|b| (b[0], b[1]))
+            .filter(|&(lo, hi)| lo != u64::MAX && hi > 0)
+            .collect();
+        ranges_interleave(&bounds)
+    });
+    if *interleaved {
         let (bytes, rep) = collective_read(comm, pfs, file, my_request, hints);
         (bytes, AutoReport::Collective(rep))
     } else {

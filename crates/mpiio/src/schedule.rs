@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 
 use cc_model::Topology;
 
+use crate::exchange::RequestTable;
 use crate::extent::{Extent, OffsetList, Piece};
 use crate::hints::Hints;
 use crate::plan::CollectivePlan;
@@ -763,6 +764,22 @@ impl PlanCacheStats {
         }
     }
 
+    /// Counts one lookup satisfied by `outcome` (`cross`: from another
+    /// job's entry).
+    fn count(&mut self, outcome: CacheOutcome, cross: bool) {
+        match outcome {
+            CacheOutcome::Hit => {
+                self.hits += 1;
+                self.cross_job_hits += u64::from(cross);
+            }
+            CacheOutcome::Translated => {
+                self.translations += 1;
+                self.cross_job_translations += u64::from(cross);
+            }
+            CacheOutcome::Miss => self.misses += 1,
+        }
+    }
+
     /// Element-wise sum, for folding per-rank or per-job stats.
     pub fn merge(&self, other: &PlanCacheStats) -> PlanCacheStats {
         PlanCacheStats {
@@ -786,6 +803,25 @@ struct CacheKey {
     nprocs: usize,
     topology: Topology,
     hints: Hints,
+}
+
+impl CacheKey {
+    fn new(table: &RequestTable, topology: &Topology, nprocs: usize, hints: &Hints) -> Self {
+        Self {
+            shape_hash: table.shape_hash,
+            nprocs,
+            topology: topology.clone(),
+            hints: hints.clone(),
+        }
+    }
+}
+
+/// One plan-cache lookup: the schedule and how the lookup was satisfied.
+pub(crate) struct PlanLookup {
+    pub(crate) schedule: PlanSchedule,
+    pub(crate) outcome: CacheOutcome,
+    /// Whether the reused entry was another job's.
+    pub(crate) cross: bool,
 }
 
 struct CacheEntry {
@@ -867,26 +903,35 @@ impl PlanCache {
         hints: &Hints,
         job: u64,
     ) -> (PlanSchedule, CacheOutcome, bool) {
-        let requests: Arc<Vec<OffsetList>> = requests.into();
-        let lo = global_lo(&requests);
-        let key = CacheKey {
-            shape_hash: shape_fingerprint(&requests, lo),
-            nprocs,
-            topology: topology.clone(),
-            hints: hints.clone(),
-        };
+        let l = self.lookup(&RequestTable::new(requests), topology, nprocs, hints, job);
+        (l.schedule, l.outcome, l.cross)
+    }
+
+    /// The lookup behind every entry point, on a table whose global
+    /// minimum and shape fingerprint are already known.
+    pub(crate) fn lookup(
+        &mut self,
+        table: &RequestTable,
+        topology: &Topology,
+        nprocs: usize,
+        hints: &Hints,
+        job: u64,
+    ) -> PlanLookup {
+        let (requests, lo) = (&table.requests, table.global_lo);
+        let key = CacheKey::new(table, topology, nprocs, hints);
         if let Some(entry) = self.entries.get(&key) {
-            if same_shape(&entry.requests, entry.lo, &requests, lo) {
+            if same_shape(&entry.requests, entry.lo, requests, lo) {
                 let cross = entry.origin != job;
                 if lo == entry.lo {
                     // Same shape at the same offset: bitwise-equal requests.
-                    self.stats.hits += 1;
-                    if cross {
-                        self.stats.cross_job_hits += 1;
-                    }
+                    self.stats.count(CacheOutcome::Hit, cross);
                     let mut schedule = entry.schedule.clone();
-                    schedule.plan.requests = requests;
-                    return (schedule, CacheOutcome::Hit, cross);
+                    schedule.plan.requests = Arc::clone(requests);
+                    return PlanLookup {
+                        schedule,
+                        outcome: CacheOutcome::Hit,
+                        cross,
+                    };
                 }
                 // The partition is translation-equivariant only for shifts
                 // that are multiples of its period: the alignment for even
@@ -896,28 +941,43 @@ impl PlanCache {
                 let delta_aligned =
                     (lo as i128 - entry.lo as i128).rem_euclid(period as i128) == 0;
                 if delta_aligned {
-                    self.stats.translations += 1;
-                    if cross {
-                        self.stats.cross_job_translations += 1;
-                    }
-                    let schedule = entry.schedule.translate(requests, entry.lo, lo);
-                    return (schedule, CacheOutcome::Translated, cross);
+                    self.stats.count(CacheOutcome::Translated, cross);
+                    let schedule = entry.schedule.translate(Arc::clone(requests), entry.lo, lo);
+                    return PlanLookup {
+                        schedule,
+                        outcome: CacheOutcome::Translated,
+                        cross,
+                    };
                 }
             }
         }
-        self.stats.misses += 1;
-        let plan = CollectivePlan::build(Arc::clone(&requests), topology, nprocs, hints);
+        let plan = CollectivePlan::build(Arc::clone(requests), topology, nprocs, hints);
         let schedule = PlanSchedule::compile(plan);
-        self.entries.insert(
-            key,
-            CacheEntry {
-                requests,
-                lo,
-                origin: job,
-                schedule: schedule.clone(),
-            },
-        );
-        (schedule, CacheOutcome::Miss, false)
+        let lookup = PlanLookup {
+            schedule,
+            outcome: CacheOutcome::Miss,
+            cross: false,
+        };
+        self.record(key, table, job, &lookup);
+        lookup
+    }
+
+    /// Records `lookup`, run against a cache in this cache's state, as if
+    /// it had run here: the same counters and, on a miss, the same new
+    /// entry (sharing the compiled schedule).
+    fn record(&mut self, key: CacheKey, table: &RequestTable, job: u64, lookup: &PlanLookup) {
+        self.stats.count(lookup.outcome, lookup.cross);
+        if lookup.outcome == CacheOutcome::Miss {
+            self.entries.insert(
+                key,
+                CacheEntry {
+                    requests: Arc::clone(&table.requests),
+                    lo: table.global_lo,
+                    origin: job,
+                    schedule: lookup.schedule.clone(),
+                },
+            );
+        }
     }
 
     /// Credits `tasks` fused tasks to this cache's amortization counter
@@ -958,10 +1018,31 @@ impl SharedPlanCache {
         hints: &Hints,
         job: u64,
     ) -> (PlanSchedule, CacheOutcome, bool) {
+        let l = self.lookup(&RequestTable::new(requests), topology, nprocs, hints, job);
+        (l.schedule, l.outcome, l.cross)
+    }
+
+    fn lookup(
+        &self,
+        table: &RequestTable,
+        topology: &Topology,
+        nprocs: usize,
+        hints: &Hints,
+        job: u64,
+    ) -> PlanLookup {
         self.inner
             .lock()
-            .unwrap()
-            .get_or_compile_tagged(requests, topology, nprocs, hints, job)
+            .expect("a lookup panicked while holding the plan cache")
+            .lookup(table, topology, nprocs, hints, job)
+    }
+
+    /// Counts a reuse a lookup would have made without running it.
+    fn count(&self, outcome: CacheOutcome, cross: bool) {
+        self.inner
+            .lock()
+            .expect("a lookup panicked while holding the plan cache")
+            .stats
+            .count(outcome, cross);
     }
 
     /// Lifetime counters over all jobs.
@@ -1023,7 +1104,8 @@ impl<'a> PlanSource<'a> {
     /// Deterministic across ranks for `Fresh` and `Local`; for `Shared`
     /// the *schedule* is still rank-deterministic (all ranks compute the
     /// same tables or share the same entry) though which rank's lookup
-    /// populates the cache first is not.
+    /// populates the cache first is not. The engines look up once per
+    /// world instead, through [`exchange_and_plan`](crate::exchange::exchange_and_plan).
     pub fn get(
         &mut self,
         requests: impl Into<Arc<Vec<OffsetList>>>,
@@ -1031,32 +1113,66 @@ impl<'a> PlanSource<'a> {
         nprocs: usize,
         hints: &Hints,
     ) -> PlanSchedule {
+        self.lookup(&RequestTable::new(requests), topology, nprocs, hints)
+            .schedule
+    }
+
+    /// Looks `table` up in this source, counting the outcome.
+    pub(crate) fn lookup(
+        &mut self,
+        table: &RequestTable,
+        topology: &Topology,
+        nprocs: usize,
+        hints: &Hints,
+    ) -> PlanLookup {
         match self {
             PlanSource::Fresh => {
                 let plan =
-                    CollectivePlan::build(requests.into(), topology, nprocs, hints);
-                PlanSchedule::compile(plan)
-            }
-            PlanSource::Local(cache) => cache.get_or_compile(requests, topology, nprocs, hints),
-            PlanSource::Shared { cache, job, seen } => {
-                let (schedule, outcome, cross) =
-                    cache.get_or_compile_tagged(requests, topology, nprocs, hints, *job);
-                match outcome {
-                    CacheOutcome::Hit => {
-                        seen.hits += 1;
-                        if cross {
-                            seen.cross_job_hits += 1;
-                        }
-                    }
-                    CacheOutcome::Translated => {
-                        seen.translations += 1;
-                        if cross {
-                            seen.cross_job_translations += 1;
-                        }
-                    }
-                    CacheOutcome::Miss => seen.misses += 1,
+                    CollectivePlan::build(Arc::clone(&table.requests), topology, nprocs, hints);
+                PlanLookup {
+                    schedule: PlanSchedule::compile(plan),
+                    outcome: CacheOutcome::Miss,
+                    cross: false,
                 }
-                schedule
+            }
+            PlanSource::Local(cache) => cache.lookup(table, topology, nprocs, hints, 0),
+            PlanSource::Shared { cache, job, seen } => {
+                let l = cache.lookup(table, topology, nprocs, hints, *job);
+                seen.count(l.outcome, l.cross);
+                l
+            }
+        }
+    }
+
+    /// Records in this source the outcome its own lookup of `table` would
+    /// have had, given that another rank ran `lookup` first against an
+    /// equivalent source. A `Local` cache ends in the state its own lookup
+    /// would have left. On a `Shared` cache the first lookup left its
+    /// entry behind, so a compile there is a (same-job) hit here, and a
+    /// hit or a translation repeats as it was.
+    pub(crate) fn replay(
+        &mut self,
+        table: &RequestTable,
+        topology: &Topology,
+        nprocs: usize,
+        hints: &Hints,
+        lookup: &PlanLookup,
+    ) {
+        match self {
+            PlanSource::Fresh => {}
+            PlanSource::Local(cache) => cache.record(
+                CacheKey::new(table, topology, nprocs, hints),
+                table,
+                0,
+                lookup,
+            ),
+            PlanSource::Shared { cache, seen, .. } => {
+                let outcome = match lookup.outcome {
+                    CacheOutcome::Miss => CacheOutcome::Hit,
+                    reuse => reuse,
+                };
+                seen.count(outcome, lookup.cross);
+                cache.count(outcome, lookup.cross);
             }
         }
     }
@@ -1089,19 +1205,9 @@ impl<'a> PlanSource<'a> {
     }
 }
 
-/// The global minimum requested offset (0 when every rank is empty),
-/// matching the plan's file-range origin.
-fn global_lo(requests: &[OffsetList]) -> u64 {
-    requests
-        .iter()
-        .filter_map(|r| r.min_offset())
-        .min()
-        .unwrap_or(0)
-}
-
 /// Hashes every rank's extents relative to `lo`, so two translated steps
 /// fingerprint identically.
-fn shape_fingerprint(requests: &[OffsetList], lo: u64) -> u64 {
+pub(crate) fn shape_fingerprint(requests: &[OffsetList], lo: u64) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     requests.len().hash(&mut h);
     for r in requests {

@@ -22,7 +22,7 @@ use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
-use crate::exchange::exchange_requests;
+use crate::exchange::exchange_and_plan;
 use crate::extent::OffsetList;
 use crate::hints::{Compression, Hints, Striping};
 use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
@@ -206,9 +206,7 @@ pub fn collective_read_planned(
     let mut hints = hints.clone();
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
-    let requests = exchange_requests(comm, my_request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), hints);
+    let schedule = exchange_and_plan(comm, my_request, hints, plans);
     // Every rank passed through the request exchange above, so the engine
     // tag counter is identical on all ranks: this collective's shuffle
     // traffic gets a unique tag, distinct from the previous and next calls.

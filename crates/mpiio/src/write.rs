@@ -15,7 +15,7 @@ use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
-use crate::exchange::exchange_requests;
+use crate::exchange::exchange_and_plan;
 use crate::extent::{Extent, OffsetList};
 use crate::hints::{Hints, Striping};
 use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
@@ -125,9 +125,7 @@ pub fn collective_write_planned(
     let mut hints = hints.clone();
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
-    let requests = exchange_requests(comm, my_request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), hints);
+    let schedule = exchange_and_plan(comm, my_request, hints, plans);
     // All ranks passed through the request exchange, so the counter is
     // symmetric and this collective's shuffle tag is unique to it.
     let tag = comm.next_engine_tag(TAG_WRITE_SHUFFLE);
@@ -363,7 +361,11 @@ fn run_write_aggregator(
         let chunk = &mut slots[pos % nslots];
         chunk.clear();
         chunk.resize((chi - clo) as usize, 0);
-        let mut extents: Vec<Extent> = Vec::new();
+        let npieces = schedule
+            .dests_with_pieces(agg_idx, iter)
+            .map(|(_, ps)| ps.len())
+            .sum();
+        let mut extents: Vec<Extent> = Vec::with_capacity(npieces);
         let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(pos));
         let mut arrival = recv_done.max(floor);
         // Pending coalesced frame from one remote node's leader: sources
@@ -411,6 +413,7 @@ fn run_write_aggregator(
             let payload: Vec<u8>;
             if src == comm.rank() {
                 let mut own = comm.take_buf();
+                own.reserve(pieces.iter().map(|p| p.extent.len as usize).sum());
                 for p in pieces {
                     let lo = p.buf_offset as usize;
                     own.extend_from_slice(&my_data[lo..lo + p.extent.len as usize]);
@@ -481,6 +484,7 @@ fn run_write_aggregator(
                 // otherwise) and the disk charge scales with the
                 // compressed size while offsets stay logical.
                 let mut logical = comm.take_buf();
+                logical.reserve(merged.total_bytes() as usize);
                 for &(off, len) in &ranges {
                     let lo = (off - clo) as usize;
                     logical.extend_from_slice(&chunk[lo..lo + len as usize]);
