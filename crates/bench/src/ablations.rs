@@ -8,7 +8,7 @@ use cc_model::{ClusterModel, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
     collective_read, collective_write, independent_read, independent_write, sieving_read,
-    sieving_write, Hints,
+    sieving_write, Hints, PipelineDepth,
 };
 use cc_profile::Table;
 use cc_workloads::ClimateWorkload;
@@ -92,9 +92,12 @@ pub fn ablation_blocking(scale: Scale) -> Table {
         "Ablation: pipeline overlap (non-blocking vs blocking CC vs traditional)",
         &["variant", "t_s"],
     );
-    for (label, nonblocking) in [("cc-nonblocking", true), ("cc-blocking", false)] {
+    for (label, depth) in [
+        ("cc-nonblocking", PipelineDepth::Unbounded),
+        ("cc-blocking", PipelineDepth::Sequential),
+    ] {
         let hints = Hints {
-            nonblocking,
+            pipeline_depth: depth,
             ..bench_hints()
         };
         let (end, _) = run_cc_once(&workload, &model, &hints, ReduceMode::AllToOne { root: 0 });

@@ -40,7 +40,7 @@ fn main() {
     // default hints — compression off — and must reproduce its checksum.
     let pipeline_checksum = (scale == Scale::Full).then(|| {
         let pipe = PipelineBenchConfig::for_scale(Scale::Full);
-        let out = run_depth(&pipe, "off-gate", true, PipelineDepth::double());
+        let out = run_depth(&pipe, "off-gate", PipelineDepth::double());
         assert_eq!(
             out.checksum, PIPELINE_OFF_CHECKSUM,
             "Compression::Off no longer reproduces the PR 6 pipeline bytes"

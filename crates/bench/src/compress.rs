@@ -88,7 +88,6 @@ impl CompressBenchConfig {
         Hints {
             cb_buffer_size: self.cb_stripes * self.stripe_unit,
             aggregators_per_node: 1,
-            nonblocking: true,
             compression,
             striping: Some(Striping {
                 unit: self.stripe_unit,

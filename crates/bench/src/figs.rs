@@ -55,7 +55,6 @@ pub fn fig01_workload(scale: Scale) -> (ClimateWorkload, ClusterModel, Hints) {
     let hints = Hints {
         cb_buffer_size: 1 << 20,
         aggregators_per_node: 6,
-        nonblocking: true,
         align_domains_to: Some(workload.stripe_size),
         ..Hints::default()
     };
@@ -193,7 +192,6 @@ fn fig09_workload(scale: Scale) -> (ClimateWorkload, ClusterModel, Hints) {
     let hints = Hints {
         cb_buffer_size: 1 << 20,
         aggregators_per_node: 1,
-        nonblocking: true,
         align_domains_to: Some(workload.stripe_size),
         ..Hints::default()
     };
@@ -281,7 +279,6 @@ pub fn fig10(scale: Scale) -> Table {
     let hints = Hints {
         cb_buffer_size: 1 << 20,
         aggregators_per_node: 1,
-        nonblocking: true,
         align_domains_to: Some(256 << 10),
         ..Hints::default()
     };
@@ -333,7 +330,6 @@ pub fn fig11(scale: Scale) -> Table {
         let hints = Hints {
             cb_buffer_size: 4 << 20,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         };
@@ -371,7 +367,6 @@ pub fn fig12(scale: Scale) -> Table {
         let hints = Hints {
             cb_buffer_size: cb_mb << 20,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         };
@@ -430,7 +425,6 @@ pub fn fig13(scale: Scale) -> Table {
         let hints = Hints {
             cb_buffer_size: 4 << 20,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         };

@@ -76,7 +76,6 @@ impl HotPathConfig {
         let hints = Hints {
             cb_buffer_size: 64 << 10,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         };

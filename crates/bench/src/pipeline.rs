@@ -86,11 +86,10 @@ impl PipelineBenchConfig {
     }
 
     /// The planner hints at `depth`.
-    pub fn hints(&self, nonblocking: bool, depth: PipelineDepth) -> Hints {
+    pub fn hints(&self, depth: PipelineDepth) -> Hints {
         Hints {
             cb_buffer_size: self.cb_stripes * self.stripe_unit,
             aggregators_per_node: 1,
-            nonblocking,
             pipeline_depth: depth,
             // Group-cyclic domains give each aggregator a private OST
             // subset, so the read leg is seek-bound rather than
@@ -148,7 +147,6 @@ pub struct DepthOutcome {
 pub fn run_depth(
     cfg: &PipelineBenchConfig,
     label: &'static str,
-    nonblocking: bool,
     depth: PipelineDepth,
 ) -> DepthOutcome {
     let size = cfg.file_size();
@@ -161,7 +159,7 @@ pub fn run_depth(
     let fs = Arc::new(fs);
     let cores = cfg.nprocs.div_ceil(cfg.nodes);
     let world = World::new(cfg.nprocs, ClusterModel::hopper_like(cfg.nodes, cores));
-    let hints = cfg.hints(nonblocking, depth);
+    let hints = cfg.hints(depth);
     let per_rank = {
         let fs = &fs;
         let hints = &hints;
@@ -204,10 +202,10 @@ pub fn run_depth(
 /// `[sequential, depth-2, depth-3, unbounded]`.
 pub fn run_all(cfg: &PipelineBenchConfig) -> Vec<DepthOutcome> {
     vec![
-        run_depth(cfg, "sequential", true, PipelineDepth::Sequential),
-        run_depth(cfg, "depth-2", true, PipelineDepth::double()),
-        run_depth(cfg, "depth-3", true, PipelineDepth::Depth(3)),
-        run_depth(cfg, "unbounded", true, PipelineDepth::Unbounded),
+        run_depth(cfg, "sequential", PipelineDepth::Sequential),
+        run_depth(cfg, "depth-2", PipelineDepth::double()),
+        run_depth(cfg, "depth-3", PipelineDepth::Depth(3)),
+        run_depth(cfg, "unbounded", PipelineDepth::Unbounded),
     ]
 }
 

@@ -77,7 +77,6 @@ impl PlanBenchConfig {
         Hints {
             cb_buffer_size: self.cb,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         }

@@ -10,16 +10,19 @@
 //! (each process gets its own partials, reduces locally, and a final
 //! reduce produces the global result).
 //!
-//! In non-blocking mode (the paper's default) the map of iteration `i`
-//! runs on a separate lane and overlaps the read of iteration `i+1`, with
-//! the map rate scaled by the node's idle cores (see the crate docs).
+//! The aggregator loop is `cc_mpiio`'s read-ahead pipeline with the map as
+//! its drain step: by default (the paper's non-blocking mode) the map of
+//! iteration `i` runs on a separate lane and overlaps the read of
+//! iteration `i+1`, with the map rate scaled by the node's idle cores (see
+//! the crate docs).
 
 use cc_array::{construct_runs, Hyperslab, Variable};
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
 use cc_mpiio::exchange::exchange_and_plan;
-use cc_mpiio::{independent_read, Hints, PlanCache, PlanSchedule, PlanSource, Striping};
+use cc_mpiio::pipeline::read_ahead;
+use cc_mpiio::{independent_read, Hints, PlanSchedule, PlanSource};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -29,10 +32,9 @@ use crate::kernel::{MapKernel, Partial, PartialReduceOp};
 use crate::object::{IoMode, ObjectIo, ReduceMode};
 use crate::scratch::Scratch;
 
-/// Tag for intermediate-result messages.
-// Tag base for intermediate-result shuffles; each operation stamps its
-// sequence number into the low bits (see `Comm::next_engine_tag`), so
-// back-to-back operations never cross-match.
+/// Tag base for intermediate-result shuffles; each operation stamps its
+/// sequence number into the low bits (see `Comm::next_engine_tag`), so
+/// back-to-back operations never cross-match.
 const TAG_RESULTS: TagValue = 0x5000_0000;
 
 /// The default root rank for reductions.
@@ -112,41 +114,15 @@ pub fn object_get_vara(
     io: &ObjectIo,
     kernel: &dyn MapKernel,
 ) -> CcOutcome {
-    object_get_vara_cached(comm, pfs, file, var, io, kernel, None)
-}
-
-/// [`object_get_vara`] with an optional compiled-plan cache: iterative
-/// sweeps pass one cache across steps so that steps with an identical (or
-/// constant-offset-shifted) access shape reuse the compiled schedule
-/// instead of replanning. Every rank must pass a cache with identical
-/// contents (or none); the cache only matters on the collective
-/// non-blocking path — blocking and independent modes ignore it.
-pub fn object_get_vara_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    var: &Variable,
-    io: &ObjectIo,
-    kernel: &dyn MapKernel,
-    cache: Option<&mut PlanCache>,
-) -> CcOutcome {
-    object_get_vara_planned(
-        comm,
-        pfs,
-        file,
-        var,
-        io,
-        kernel,
-        &mut PlanSource::from_option(cache),
-    )
+    object_get_vara_planned(comm, pfs, file, var, io, kernel, &mut PlanSource::Fresh)
 }
 
 /// [`object_get_vara`] drawing its compiled schedule from an explicit
 /// [`PlanSource`]: fresh compiles, a per-run cache, or the multi-job
 /// service's process-wide shared cache (which tags each lookup with the
 /// job id so cross-job reuse is counted). Every rank must pass an
-/// equivalent source; the source only matters on the collective
-/// non-blocking path — blocking and independent modes ignore it.
+/// equivalent source; only the collective-computing path plans —
+/// `io.blocking` and independent modes ignore it.
 pub fn object_get_vara_planned(
     comm: &mut Comm,
     pfs: &Pfs,
@@ -260,26 +236,21 @@ fn run_collective_computing(
         start: comm.clock(),
         ..CcReport::default()
     };
-    let esize = var.dtype().size();
     // Element-aligned planning: chunk and domain boundaries must never
-    // split an element, or the logical map could not reconstruct it.
-    let mut hints = io.hints.clone();
+    // split an element, or the logical map could not reconstruct it. If
+    // the stripe size is not element-aligned the planner falls back to
+    // stripe-aligned-even partitioning on its own.
+    let mut hints = io
+        .hints
+        .clone()
+        .element_aligned(var.dtype().size())
+        .striped_as(file.layout());
     // Error bounds are a kernel property: only kernels declaring bounded-
     // error tolerance may consume lossily-compressed field bytes; exact
     // (selection) kernels are clamped to lossless framing. The clamped
     // value also keys the plan cache, so the two classes never share a
     // compiled schedule.
     hints.compression = hints.compression.clamp_for(kernel.tolerance());
-    hints.cb_buffer_size = round_up(hints.cb_buffer_size.max(esize), esize);
-    hints.align_domains_to = Some(match hints.align_domains_to {
-        Some(a) => lcm(a.max(1), esize),
-        None => esize,
-    });
-    // Striping rides the hints (ROMIO's striping_unit/striping_factor), so
-    // stripe-aware partition strategies and the plan-cache key see the
-    // open file's layout. If the stripe size is not element-aligned the
-    // planner falls back to stripe-aligned-even partitioning on its own.
-    hints.striping = Some(Striping::from(file.layout()));
 
     let request = var.byte_extents(slab);
     let schedule = exchange_and_plan(comm, &request, &hints, plans);
@@ -354,8 +325,8 @@ type ReduceOutcome = (
     Option<Partial>,
 );
 
-/// Runs one aggregator's read→construct→map pipeline over its file domain.
-/// Returns the time the last map completed.
+/// Runs one aggregator's read→construct→map pipeline over its file domain
+/// through [`read_ahead`]. Returns the time the last map completed.
 #[allow(clippy::too_many_arguments)]
 fn run_map_pipeline(
     comm: &mut Comm,
@@ -377,117 +348,63 @@ fn run_map_pipeline(
     let workers =
         (comm.model().topology.cores_per_node / hints.aggregators_per_node).max(1) as f64;
     let start = comm.clock();
-    // The I/O lane models the paper's I/O thread; the map lane models the
-    // node-parallel map workers (Fig. 7). With unbounded `PipelineDepth`,
-    // reads are gated only by the I/O lane — the runtime is assumed to
-    // have enough staging buffers to keep the disk streaming, which also
-    // keeps every rank's file-system requests causally close in virtual
-    // time (the OST queues are shared state; see cc-pfs::ost). A bounded
-    // depth stages iterations through a [`BufferRing`] over that many
-    // scratch slots: the read of iteration `i` additionally waits for
-    // iteration `i - depth` to finish mapping out of its slot. Blocking
-    // mode is depth 1 — read and map strictly alternate.
-    let mut io_lane = Lane::free_from(start);
+    // The map lane models the node-parallel map workers of Fig. 7; the
+    // I/O lane of `read_ahead` reads ahead of it.
     let mut map_lane = Lane::free_from(start);
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
-    };
-    let mut ring = depth.map(BufferRing::new);
-    let iters = schedule.active_iterations(agg_idx);
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
-    scratch.ensure_slots(nslots);
-    // Per-iteration read bookkeeping (`(rlo, ready, read_done)`), filled
-    // at issue time and consumed at map time `depth` iterations later.
-    let mut reads: Vec<Option<(u64, SimTime, SimTime)>> = vec![None; iters.len()];
-    let mut issued = 0usize;
-    let mut last = start;
-
     let mut blocks: Vec<(u64, u64)> = Vec::new();
-    for (pos, &iter) in iters.iter().enumerate() {
-        // Issue stage: software-pipelined read-ahead — book the OST
-        // extents of up to `depth` iterations while earlier ones map.
-        let horizon = match depth {
-            Some(d) => iters.len().min(pos + d),
-            None => pos + 1,
-        };
-        while issued < horizon {
-            let j = issued;
-            issued += 1;
-            let ranges = schedule.read_ranges(agg_idx, iters[j]);
-            let Some(&(rlo, _)) = ranges.first() else {
-                continue;
-            };
-            let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(j));
-            let ready = io_lane.free_at().max(floor);
-            let read_done =
-                pfs.read_multi(file, rlo, ranges, ready, &mut scratch.slots[j % nslots]);
-            io_lane.advance_to(read_done);
-            report.bytes_read += ranges.iter().map(|&(_, len)| len).sum::<u64>();
-            report
-                .segments
-                .push(Segment::new(ready, read_done, Activity::Wait));
-            reads[j] = Some((rlo, ready, read_done));
-        }
-        let Some((rlo, ready, read_done)) = reads[pos] else {
-            // Nothing was read for this iteration; carry the slot's
-            // previous drain time forward.
-            if let Some(r) = ring.as_mut() {
-                let t = r.available(pos);
-                r.drain(pos, t);
-            }
-            continue;
-        };
-
-        // Construct logical runs and map them, per destination owner and
-        // per covered block — a merged iteration's bounding range spans
-        // stride gaps whose bytes belong to other aggregators.
-        blocks.clear();
-        schedule.chunk_blocks(agg_idx, iter, |blo, bhi| blocks.push((blo, bhi)));
-        let mut mapped_bytes = 0usize;
-        let mut entries = 0u64;
-        let mut meta_bytes = 0u64;
-        for &dst in schedule.destinations(agg_idx, iter) {
-            let acc = inter.partial_mut(dst, kernel);
-            for &(blo, bhi) in &blocks {
-                let runs = construct_runs(var, &schedule.plan().requests[dst], blo, bhi);
-                for run in &runs {
-                    let off = (var.byte_of_elem(run.start_elem) - rlo) as usize;
-                    let len = run.len as usize * esize;
-                    // Decode into the reused scratch slice: the kernel folds
-                    // over `&[f64]` with no per-run allocation.
-                    var.dtype().decode_into(
-                        &scratch.slots[pos % nslots][off..off + len],
-                        &mut scratch.values,
-                    );
-                    kernel.map(acc, run.start_elem, &scratch.values);
-                    mapped_bytes += len;
-                    entries += 1;
-                    meta_bytes += run.metadata_bytes(var);
+    let (last, bytes_read) = read_ahead(
+        pfs,
+        file,
+        schedule,
+        agg_idx,
+        hints.pipeline_depth,
+        start,
+        &mut scratch.slots,
+        &mut report.segments,
+        |staged, segments| {
+            // Construct logical runs and map them, per destination owner
+            // and per covered block — a merged iteration's bounding range
+            // spans stride gaps whose bytes belong to other aggregators.
+            blocks.clear();
+            schedule.chunk_blocks(agg_idx, staged.iter, |blo, bhi| blocks.push((blo, bhi)));
+            let mut mapped_bytes = 0usize;
+            let mut entries = 0u64;
+            let mut meta_bytes = 0u64;
+            for &dst in schedule.destinations(agg_idx, staged.iter) {
+                let acc = inter.partial_mut(dst, kernel);
+                for &(blo, bhi) in &blocks {
+                    let runs = construct_runs(var, &schedule.plan().requests[dst], blo, bhi);
+                    for run in &runs {
+                        let off = (var.byte_of_elem(run.start_elem) - staged.lo) as usize;
+                        let len = run.len as usize * esize;
+                        // Decode into the reused scratch slice: the kernel
+                        // folds over `&[f64]` with no per-run allocation.
+                        var.dtype()
+                            .decode_into(&staged.bytes[off..off + len], &mut scratch.values);
+                        kernel.map(acc, run.start_elem, &scratch.values);
+                        mapped_bytes += len;
+                        entries += 1;
+                        meta_bytes += run.metadata_bytes(var);
+                    }
                 }
             }
-        }
-        inter.note_metadata(entries, meta_bytes);
+            inter.note_metadata(entries, meta_bytes);
 
-        let construct_cost = cpu.metadata_time(entries as usize);
-        let map_cost = cpu.map_time(mapped_bytes).scale(1.0 / workers) + construct_cost;
-        report.local_reduction += construct_cost;
-        let map_start = read_done.max(map_lane.free_at());
-        let map_done = map_lane.acquire(read_done, map_cost);
-        // The slot is reusable once the kernel has folded its last run.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, map_done);
-        }
-        report
-            .segments
-            .push(Segment::new(map_start, map_done, Activity::User));
-        report.iterations.push(CcIterTiming {
-            read: read_done.saturating_since(ready),
-            map: map_cost,
-        });
-        last = last.max(map_done);
-    }
+            let construct_cost = cpu.metadata_time(entries as usize);
+            let map_cost = cpu.map_time(mapped_bytes).scale(1.0 / workers) + construct_cost;
+            report.local_reduction += construct_cost;
+            let map_start = staged.done.max(map_lane.free_at());
+            let map_done = map_lane.acquire(staged.done, map_cost);
+            segments.push(Segment::new(map_start, map_done, Activity::User));
+            report.iterations.push(CcIterTiming {
+                read: staged.done.saturating_since(staged.ready),
+                map: map_cost,
+            });
+            // The slot is reusable once the kernel has folded its last run.
+            map_done
+        },
+    );
+    report.bytes_read += bytes_read;
     last
 }
 
@@ -670,37 +587,4 @@ fn final_reduce(
     partial.write_words_into(&mut scratch.words);
     comm.reduce(root, &scratch.words, &PartialReduceOp(kernel))
         .map(|words| Partial::from_words(&words).0)
-}
-
-/// Rounds `v` up to the next multiple of `m`.
-fn round_up(v: u64, m: u64) -> u64 {
-    v.div_ceil(m) * m
-}
-
-/// Least common multiple.
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arithmetic_helpers() {
-        assert_eq!(round_up(7, 4), 8);
-        assert_eq!(round_up(8, 4), 8);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(8, 8), 8);
-        assert_eq!(gcd(12, 18), 6);
-    }
 }

@@ -34,11 +34,12 @@ pub enum DomainPartition {
 /// fully drained its slot (shuffled, mapped, or written it out). Depth 1
 /// is therefore strictly sequential — read, drain, repeat, exactly the
 /// blocking two-phase protocol — and depth 2 is the classic double
-/// buffer: the read of `i + 1` overlaps the drain of `i`.
+/// buffer: the read of `i + 1` overlaps the drain of `i`. See
+/// [`crate::pipeline`] for the loop that applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PipelineDepth {
     /// One buffer: each iteration's read waits for the previous iteration
-    /// to drain. Bit-identical in timing to blocking mode.
+    /// to drain — the blocking two-phase protocol.
     Sequential,
     /// A bounded ring of `n >= 2` buffers (2 = double buffering).
     Depth(usize),
@@ -120,9 +121,6 @@ pub struct Hints {
     pub cb_buffer_size: u64,
     /// Aggregators per node (`cb_config_list`-style placement).
     pub aggregators_per_node: usize,
-    /// Overlap the shuffle of iteration `i` with the read of `i+1`
-    /// (double-buffered, the paper's default "non-blocking" collective I/O).
-    pub nonblocking: bool,
     /// Align file-domain boundaries to stripe boundaries (ROMIO's
     /// `striping_unit`-aware partitioning).
     pub align_domains_to: Option<u64>,
@@ -133,8 +131,9 @@ pub struct Hints {
     /// strategies degrade gracefully when it is `None`.
     pub striping: Option<Striping>,
     /// Software-pipeline depth across collective-buffer iterations (see
-    /// [`PipelineDepth`]). Only meaningful in non-blocking mode — blocking
-    /// mode is sequential by definition, whatever this says.
+    /// [`PipelineDepth`]): `Sequential` is blocking collective I/O, deeper
+    /// rings overlap the drain of iteration `i` with the read of `i + 1`
+    /// (the paper's default "non-blocking" collective I/O).
     pub pipeline_depth: PipelineDepth,
     /// How shuffle payloads and coalesced frames that cross a node
     /// boundary are compressed (see [`Compression`]). Intra-node traffic
@@ -149,7 +148,6 @@ impl Default for Hints {
         Self {
             cb_buffer_size: 4 << 20,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             domain_partition: DomainPartition::Even,
             striping: None,
@@ -225,6 +223,26 @@ impl Hints {
             (DomainPartition::GroupCyclic, Some(s)) => lcm(align, s.period()),
         }
     }
+
+    /// These hints for a file laid out as `layout`. Striping travels as a
+    /// hint (ROMIO's `striping_unit`/`striping_factor`): every rank injects
+    /// it from the shared file handle, so the value is symmetric and
+    /// stripe-aware partition strategies — and the plan-cache key — see it
+    /// without separate plumbing.
+    pub fn striped_as(mut self, layout: &cc_pfs::StripeLayout) -> Self {
+        self.striping = Some(Striping::from(layout));
+        self
+    }
+
+    /// These hints for a variable of `esize`-byte elements: the collective
+    /// buffer rounds up to whole elements and domain boundaries align to
+    /// `lcm(align_domains_to, esize)`, so no chunk or file domain splits an
+    /// element and the logical map can always reconstruct it.
+    pub fn element_aligned(mut self, esize: u64) -> Self {
+        self.cb_buffer_size = self.cb_buffer_size.max(esize).div_ceil(esize) * esize;
+        self.align_domains_to = Some(lcm(self.align_domains_to.unwrap_or(1).max(1), esize));
+        self
+    }
 }
 
 /// Greatest common divisor.
@@ -249,8 +267,27 @@ mod tests {
     fn default_matches_romio() {
         let h = Hints::default();
         assert_eq!(h.cb_buffer_size, 4 << 20);
-        assert!(h.nonblocking);
+        assert_eq!(h.pipeline_depth, PipelineDepth::Unbounded);
         h.validate();
+    }
+
+    #[test]
+    fn element_alignment_rounds_buffer_and_domains() {
+        let h = |cb, align| {
+            Hints {
+                cb_buffer_size: cb,
+                align_domains_to: align,
+                ..Hints::default()
+            }
+            .element_aligned(4)
+        };
+        assert_eq!(h(7, None).cb_buffer_size, 8);
+        assert_eq!(h(8, None).cb_buffer_size, 8);
+        // A buffer smaller than one element still holds one.
+        assert_eq!(h(1, None).cb_buffer_size, 4);
+        assert_eq!(h(8, None).align_domains_to, Some(4));
+        assert_eq!(h(8, Some(6)).align_domains_to, Some(12));
+        assert_eq!(h(8, Some(8)).align_domains_to, Some(8));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! 3. each aggregator iterates over its domain in collective-buffer-sized
 //!    chunks, reading large contiguous extents (phase 1) and scattering the
 //!    pieces to the requesting ranks (phase 2, the shuffle);
-//! 4. in non-blocking mode the shuffle of iteration *i* overlaps the read
-//!    of iteration *i+1* using double buffering, as profiled in the paper's
-//!    Fig. 1.
+//! 4. one read-ahead loop ([`pipeline`]) overlaps the shuffle of
+//!    iteration *i* with the read of iteration *i+1*, as profiled in the
+//!    paper's Fig. 1, bounded by the `pipeline_depth` hint; the
+//!    collective-computing engine of `cc-core` drives the same pipeline
+//!    with a map in place of the shuffle.
 //!
 //! [`independent`] implements the non-collective baseline (per-rank reads,
 //! optionally with data sieving) used for the paper's Fig. 3 comparison.
@@ -27,8 +29,10 @@ pub mod extent;
 pub mod fuse;
 pub mod hints;
 pub mod independent;
+pub mod pipeline;
 pub mod plan;
 pub mod schedule;
+mod shuffle;
 pub mod twophase;
 pub mod write;
 
@@ -43,8 +47,5 @@ pub use plan::{CollectivePlan, FileDomain};
 pub use schedule::{
     CacheOutcome, PlanCache, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache,
 };
-pub use twophase::{
-    collective_read, collective_read_cached, collective_read_planned, IterationTiming,
-    TwoPhaseReport,
-};
-pub use write::{collective_write, collective_write_cached, collective_write_planned, WriteReport};
+pub use twophase::{collective_read, collective_read_planned, IterationTiming, TwoPhaseReport};
+pub use write::{collective_write, collective_write_planned, WriteReport};

@@ -512,7 +512,6 @@ mod tests {
         Hints {
             cb_buffer_size: cb,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         }

@@ -1092,14 +1092,6 @@ impl<'a> PlanSource<'a> {
         }
     }
 
-    /// Adapts the engines' older optional-local-cache parameter.
-    pub fn from_option(cache: Option<&'a mut PlanCache>) -> Self {
-        match cache {
-            Some(c) => PlanSource::Local(c),
-            None => PlanSource::Fresh,
-        }
-    }
-
     /// Returns the compiled schedule for `requests` from this source.
     /// Deterministic across ranks for `Fresh` and `Local`; for `Shared`
     /// the *schedule* is still rank-deterministic (all ranks compute the
@@ -1243,7 +1235,6 @@ mod tests {
         Hints {
             cb_buffer_size: cb,
             aggregators_per_node: 1,
-            nonblocking: true,
             align_domains_to: None,
             ..Hints::default()
         }

@@ -3,60 +3,29 @@
 //! Phase 1 (I/O): each aggregator reads the covering extent of each
 //! collective-buffer chunk of its file domain — large, contiguous,
 //! stripe-friendly reads. Phase 2 (shuffle): the aggregator scatters the
-//! pieces of the chunk to the ranks that requested them. In non-blocking
-//! mode (the default, and the configuration profiled in the paper's Fig. 1)
-//! the shuffle of iteration `i` overlaps the read of iteration `i+1`, with
-//! the [`crate::hints::PipelineDepth`] hint bounding how many staging
-//! buffers the software pipeline may keep in flight (depth 2 is the
-//! classic double buffer); in blocking mode the two phases strictly
-//! alternate.
+//! pieces of the chunk to the ranks that requested them. The aggregator
+//! loop is [`read_ahead`] with the shuffle as its drain step:
+//! by default (the configuration profiled in the paper's Fig. 1) the
+//! shuffle of iteration `i` overlaps the read of iteration `i+1`, and the
+//! [`crate::hints::PipelineDepth`] hint bounds how many staging buffers
+//! may be in flight (depth 1 is blocking two-phase I/O, depth 2 the
+//! classic double buffer).
 //!
 //! Real bytes flow: the returned buffer contains exactly the requested
-//! bytes in request order. Virtual time flows through two [`Lane`]s per
-//! aggregator (the paper's "I/O thread" and "shuffle thread" of Fig. 7)
-//! plus the OST queues inside [`Pfs`].
+//! bytes in request order.
 
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::SimTime;
 use cc_mpi::comm::{TagValue, SEQ_MASK};
 use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
 use crate::exchange::exchange_and_plan;
-use crate::extent::OffsetList;
-use crate::hints::{Compression, Hints, Striping};
-use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
-
-/// Encodes `payload` for the wire when `mode` compresses this lane
-/// (inter-node only — intra-node and self traffic always travels raw).
-/// Returns the bytes to post plus the logical length to record; the
-/// original buffer is recycled when a frame replaces it. The frame is
-/// self-describing, so the receiver needs only the same `(mode,
-/// same_node)` pair — both deterministic on both ends — to know to decode.
-pub(crate) fn encode_for_wire(
-    comm: &mut Comm,
-    mode: &Compression,
-    same_node: bool,
-    payload: Vec<u8>,
-) -> (Vec<u8>, usize, bool) {
-    let logical_len = payload.len();
-    if !mode.is_on() || same_node {
-        return (payload, logical_len, false);
-    }
-    let mut wire = comm.take_buf();
-    cc_compress::encode_into(mode, &payload, &mut wire);
-    comm.recycle_buf(payload);
-    (wire, logical_len, true)
-}
-
-/// Decodes a received wire frame back into logical bytes (recycling the
-/// wire buffer); returns the logical payload and its length.
-pub(crate) fn decode_from_wire(comm: &mut Comm, wire: Vec<u8>) -> (Vec<u8>, usize) {
-    let mut logical = comm.take_buf();
-    let n = cc_compress::decode_into(&wire, &mut logical);
-    comm.recycle_buf(wire);
-    (logical, n)
-}
+use crate::extent::{OffsetList, Piece};
+use crate::hints::Hints;
+use crate::pipeline::read_ahead;
+use crate::schedule::{PlanSchedule, PlanSource};
+use crate::shuffle::{pack, recv_shuffle, remote_chunks, unpack, ShuffleLane};
 
 /// Tag base for read-shuffle messages (outside the user and collective
 /// spaces). Each collective stamps its sequence number into the low bits
@@ -161,23 +130,7 @@ pub fn collective_read(
     my_request: &OffsetList,
     hints: &Hints,
 ) -> (Vec<u8>, TwoPhaseReport) {
-    collective_read_cached(comm, pfs, file, my_request, hints, None)
-}
-
-/// [`collective_read`] with an optional plan cache: when `cache` is given,
-/// the compiled schedule of a previous step with the same (or
-/// offset-shifted) request shape is reused instead of recompiled. Every
-/// rank must pass a cache with identical contents (or none) — the schedule
-/// decision must stay symmetric.
-pub fn collective_read_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    hints: &Hints,
-    cache: Option<&mut PlanCache>,
-) -> (Vec<u8>, TwoPhaseReport) {
-    collective_read_planned(comm, pfs, file, my_request, hints, &mut PlanSource::from_option(cache))
+    collective_read_planned(comm, pfs, file, my_request, hints, &mut PlanSource::Fresh)
 }
 
 /// [`collective_read`] drawing its compiled schedule from an explicit
@@ -199,13 +152,7 @@ pub fn collective_read_planned(
         start: comm.clock(),
         ..TwoPhaseReport::default()
     };
-    // Striping travels as a hint (ROMIO's striping_unit/striping_factor):
-    // every rank injects it from the shared file handle, so the value is
-    // symmetric and stripe-aware partition strategies — and the plan-cache
-    // key — see it without separate plumbing.
-    let mut hints = hints.clone();
-    hints.striping = Some(Striping::from(file.layout()));
-    let hints = &hints;
+    let hints = &hints.clone().striped_as(file.layout());
     let schedule = exchange_and_plan(comm, my_request, hints, plans);
     // Every rank passed through the request exchange above, so the engine
     // tag counter is identical on all ranks: this collective's shuffle
@@ -251,33 +198,16 @@ pub fn collective_read_planned(
             Some(view) if view.node_of(agg_rank) != view.node => (view.leader, relay_tag),
             _ => (agg_rank, tag),
         };
-        let (payload, info) = comm.recv_bytes_no_clock(src, src_tag);
-        // Direct sends from a remote-node aggregator arrive as compressed
-        // frames when the hints say so (relays and same-node sends are
-        // always raw) — the same deterministic test the sender applied.
-        let compressed =
-            hints.compression.is_on() && !comm.model().topology.same_node(src, comm.rank());
-        let (payload, decode) = if compressed {
-            let (logical, n) = decode_from_wire(comm, payload);
-            (logical, cpu.decompress_time(n))
-        } else {
-            (payload, SimTime::ZERO)
-        };
-        let mut cursor = 0usize;
-        for p in pieces {
-            let len = p.extent.len as usize;
-            buf[p.buf_offset as usize..p.buf_offset as usize + len]
-                .copy_from_slice(&payload[cursor..cursor + len]);
-            cursor += len;
-        }
+        let (payload, arrival, decode) = recv_shuffle(comm, src, src_tag, &hints.compression);
+        let used = unpack(&mut buf, &payload, pieces, |p| p.buf_offset as usize);
         assert_eq!(
-            cursor,
+            used,
             payload.len(),
             "rank {}: shuffle payload length mismatch from rank {src} \
              (aggregator {a}, iteration {iter}, tag {src_tag:#x})",
             comm.rank(),
         );
-        let unpacked = info.arrival + decode + cpu.memcpy_time(payload.len());
+        let unpacked = arrival + decode + cpu.memcpy_time(payload.len());
         comm.recycle_buf(payload);
         done = done.max(unpacked);
     }
@@ -291,9 +221,10 @@ pub fn collective_read_planned(
     (buf, report)
 }
 
-/// Runs the aggregator loop for `agg_idx`; returns the time the last
-/// shuffle completed. Fills `report` and places this rank's own pieces
-/// directly into `buf`.
+/// Runs the aggregator loop for `agg_idx` through [`read_ahead`],
+/// draining each staged chunk by packing and posting its pieces; returns
+/// the time the last shuffle completed. Fills `report` and places this
+/// rank's own pieces directly into `buf`.
 #[allow(clippy::too_many_arguments)]
 fn run_aggregator(
     comm: &mut Comm,
@@ -309,213 +240,101 @@ fn run_aggregator(
 ) -> SimTime {
     let cpu = comm.model().cpu.clone();
     let start = comm.clock();
-    // Non-blocking mode: independent read and shuffle lanes overlap the
-    // phases, and the `PipelineDepth` hint bounds how many iterations'
-    // staging buffers may be in flight at once. Unbounded depth gates
-    // reads only by the I/O lane (the engine is assumed to have enough
-    // staging buffers to keep the disk streaming, which also keeps all
-    // ranks' file-system requests causally close in virtual time);
-    // bounded depth stages through a [`BufferRing`], so the read of
-    // iteration `i` waits for iteration `i - depth` to finish draining
-    // its slot. Blocking mode is depth 1: one slot, strictly alternating
-    // phases — the ring recurrence degenerates to the single-lane
-    // schedule (the next read starts at the previous shuffle's end).
-    let mut io_lane = Lane::free_from(start);
-    let mut shuffle_lane = Lane::free_from(start);
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
+    // The shuffle lane is the paper's "shuffle thread" (Fig. 7): it drains
+    // iteration i while the I/O lane reads ahead.
+    let mut shuffle = ShuffleLane::new(start, &hints.compression);
+    let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
+    // With hierarchical paths active, only same-node destinations are
+    // served directly; every remote node gets one coalesced frame.
+    let (direct_lo, direct_hi) = match hier {
+        Some(view) => (view.node_lo, view.node_hi),
+        None => (0, comm.nprocs()),
     };
-    let mut ring = depth.map(BufferRing::new);
-    let iters = schedule.active_iterations(agg_idx);
-    // One staging slot per in-flight iteration — reads land in place, and
-    // a slot is reissued only after its previous occupant drained.
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
-    let mut slots: Vec<Vec<u8>> = (0..nslots).map(|_| Vec::new()).collect();
-    // Per-iteration read bookkeeping (`(rlo, ready, read_done, queue)`),
-    // filled at issue time and consumed at drain time — the two walk the
-    // iteration list `depth` apart.
-    let mut reads: Vec<Option<(u64, SimTime, SimTime, SimTime)>> = vec![None; iters.len()];
-    let mut issued = 0usize;
-    let mut last = start;
-
-    for (pos, &iter) in iters.iter().enumerate() {
-        // Issue stage: read ahead up to `depth` iterations before draining
-        // iteration `pos`, so the OST extents of iteration pos+1 are booked
-        // (and its receives effectively pre-posted — destinations are known
-        // from the compiled schedule) while pos is still packing.
-        let horizon = match depth {
-            Some(d) => iters.len().min(pos + d),
-            None => pos + 1,
-        };
-        while issued < horizon {
-            let j = issued;
-            issued += 1;
-            let ranges = schedule.read_ranges(agg_idx, iters[j]);
-            let Some(&(rlo, _)) = ranges.first() else {
-                continue;
-            };
-            // Phase 1: read all of the iteration's covering extents (one
-            // per covered block) in a single vectorized call — one booking
-            // lock per OST, object-contiguous runs across blocks charged
-            // one seek. A single covering range times identically to
-            // `read_at`.
-            let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(j));
-            let ready = io_lane.free_at().max(floor);
-            let read_done = pfs.read_multi(file, rlo, ranges, ready, &mut slots[j % nslots]);
-            io_lane.advance_to(read_done);
-            report.bytes_read += ranges.iter().map(|&(_, len)| len).sum::<u64>();
-            let read_dur = read_done.saturating_since(ready);
-            let ideal: SimTime = ranges
+    let mut slots = Vec::new();
+    let (last, bytes_read) = read_ahead(
+        pfs,
+        file,
+        schedule,
+        agg_idx,
+        hints.pipeline_depth,
+        start,
+        &mut slots,
+        &mut report.segments,
+        |staged, segments| {
+            let at = |p: &Piece| (p.extent.offset - staged.lo) as usize;
+            let ideal: SimTime = staged
+                .ranges
                 .iter()
                 .map(|&(lo, len)| pfs.ideal_read_time(file, lo, len))
                 .sum();
-            report
-                .segments
-                .push(Segment::new(ready, read_done, Activity::Wait));
-            reads[j] = Some((rlo, ready, read_done, read_dur.saturating_since(ideal)));
-        }
-        let Some((rlo, ready, read_done, queue_dur)) = reads[pos] else {
-            // Nothing was read for this iteration, so nothing occupies its
-            // slot: carry the previous occupant's drain time forward.
-            if let Some(r) = ring.as_mut() {
-                let t = r.available(pos);
-                r.drain(pos, t);
-            }
-            continue;
-        };
-        let chunk = &slots[pos % nslots];
-        let read_dur = read_done.saturating_since(ready);
-
-        // Phase 2: pack and post pieces per destination. With hierarchical
-        // paths active, only same-node destinations are served directly;
-        // every remote node gets one coalesced frame (below).
-        let shuffle_start = read_done.max(shuffle_lane.free_at());
-        let mut shuffle_end = shuffle_start;
-        let (direct_lo, direct_hi) = match hier {
-            Some(view) => (view.node_lo, view.node_hi),
-            None => (0, comm.nprocs()),
-        };
-        for (dst, pieces) in schedule.dests_with_pieces_in(agg_idx, iter, direct_lo, direct_hi) {
-            let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-            if dst == comm.rank() {
-                // Local placement: just a copy, no message.
-                let t = shuffle_lane.acquire(read_done, cpu.memcpy_time(piece_bytes));
-                for p in pieces {
-                    let src = (p.extent.offset - rlo) as usize;
-                    buf[p.buf_offset as usize..p.buf_offset as usize + p.extent.len as usize]
-                        .copy_from_slice(&chunk[src..src + p.extent.len as usize]);
+            let read_dur = staged.done.saturating_since(staged.ready);
+            let shuffle_start = staged.done.max(shuffle.lane.free_at());
+            let mut shuffle_end = shuffle_start;
+            for (dst, pieces) in
+                schedule.dests_with_pieces_in(agg_idx, staged.iter, direct_lo, direct_hi)
+            {
+                let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+                if dst == comm.rank() {
+                    // Local placement: just a copy, no message.
+                    let t = shuffle.lane.acquire(staged.done, cpu.memcpy_time(piece_bytes));
+                    for p in pieces {
+                        let (src, len) = (at(p), p.extent.len as usize);
+                        buf[p.buf_offset as usize..][..len]
+                            .copy_from_slice(&staged.bytes[src..src + len]);
+                    }
+                    shuffle_end = shuffle_end.max(t);
+                    continue;
                 }
-                shuffle_end = shuffle_end.max(t);
-                continue;
+                let mut payload = comm.take_buf();
+                payload.reserve(piece_bytes);
+                pack(&mut payload, staged.bytes, pieces, at);
+                let (depart, logical) =
+                    shuffle.post(comm, staged.done, dst, tag, payload, pieces.len());
+                report.bytes_shuffled += logical as u64;
+                shuffle_end = shuffle_end.max(depart);
             }
-            let mut payload = comm.take_buf();
-            payload.reserve(piece_bytes);
-            for p in pieces {
-                let src = (p.extent.offset - rlo) as usize;
-                payload.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
-            }
-            // The shuffle lane is held for the memcpy, the per-piece
-            // pack/post cost (non-contiguous runs are packed one by one,
-            // like a derived-datatype scatter), the NIC serialization
-            // of the payload (a node's egress is a serially-reused
-            // resource), and the per-message posting overhead. Per-piece
-            // cost is what makes the shuffle of a finely-fragmented
-            // request approach the read cost (Fig. 1). Inter-node
-            // payloads may be compressed: the codec CPU joins the lane
-            // hold and the NIC serializes only the wire bytes.
-            let same_node = comm.model().topology.same_node(comm.rank(), dst);
-            let (wire, logical_len, compressed) =
-                encode_for_wire(comm, &hints.compression, same_node, payload);
-            let codec = if compressed {
-                cpu.compress_time(logical_len)
-            } else {
-                SimTime::ZERO
-            };
-            let pack_and_post = cpu.memcpy_time(logical_len)
-                + codec
-                + comm.model().net.scatter_cost().scale(pieces.len() as f64)
-                + comm.model().net.wire_time(wire.len(), same_node)
-                + comm.model().net.msg_cost(same_node);
-            let depart = shuffle_lane.acquire(read_done, pack_and_post);
-            report.bytes_shuffled += logical_len as u64;
-            comm.post_framed_bytes_at(dst, tag, wire, depart, logical_len);
-            shuffle_end = shuffle_end.max(depart);
-        }
-        if let Some(view) = hier {
             // One header-less frame per remote node holding pieces of this
             // chunk: sections are the per-destination payloads in ascending
             // rank order, and both ends derive section sizes from the
             // shared schedule, so no framing metadata crosses the wire.
-            // Coalescing pays the inter-node posting overhead once per
-            // node instead of once per destination rank.
-            let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
-            for node in 0..view.nodes_used {
-                if node == view.node {
-                    continue;
-                }
-                let (lo, hi) = view.node_range(node);
-                // Pre-size the frame from the schedule's piece tables so
-                // coalescing never reallocates mid-pack.
-                let frame_bytes: usize = schedule
-                    .dests_with_pieces_in(agg_idx, iter, lo, hi)
-                    .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
-                    .sum();
-                if frame_bytes == 0 {
-                    continue;
-                }
-                let mut frame = comm.take_buf();
-                frame.reserve(frame_bytes);
-                let mut frame_pieces = 0usize;
-                for (_, pieces) in schedule.dests_with_pieces_in(agg_idx, iter, lo, hi) {
-                    for p in pieces {
-                        let src = (p.extent.offset - rlo) as usize;
-                        frame.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
+            // Coalescing pays the inter-node posting overhead (and the
+            // codec, when compression is on) once per node instead of once
+            // per destination rank.
+            if let Some(view) = hier {
+                for node in (0..view.nodes_used).filter(|&n| n != view.node) {
+                    let (lo, hi) = view.node_range(node);
+                    // Pre-size the frame from the schedule's piece tables
+                    // so coalescing never reallocates mid-pack.
+                    let (frame_bytes, frame_pieces) = schedule
+                        .dests_with_pieces_in(agg_idx, staged.iter, lo, hi)
+                        .flat_map(|(_, ps)| ps)
+                        .fold((0usize, 0usize), |(b, n), p| (b + p.extent.len as usize, n + 1));
+                    if frame_bytes == 0 {
+                        continue;
                     }
-                    frame_pieces += pieces.len();
+                    let mut frame = comm.take_buf();
+                    frame.reserve(frame_bytes);
+                    for (_, pieces) in schedule.dests_with_pieces_in(agg_idx, staged.iter, lo, hi) {
+                        pack(&mut frame, staged.bytes, pieces, at);
+                    }
+                    let leader = view.leader_of_node(node);
+                    let (depart, logical) =
+                        shuffle.post(comm, staged.done, leader, frame_tag, frame, frame_pieces);
+                    report.bytes_shuffled += logical as u64;
+                    shuffle_end = shuffle_end.max(depart);
                 }
-                // Node-pair frames always cross the interconnect, so they
-                // are the prime compression target: one codec pass per
-                // frame, wire time on the compressed bytes.
-                let (wire, logical_len, compressed) =
-                    encode_for_wire(comm, &hints.compression, false, frame);
-                let codec = if compressed {
-                    cpu.compress_time(logical_len)
-                } else {
-                    SimTime::ZERO
-                };
-                let pack_and_post = cpu.memcpy_time(logical_len)
-                    + codec
-                    + comm.model().net.scatter_cost().scale(frame_pieces as f64)
-                    + comm.model().net.wire_time(wire.len(), false)
-                    + comm.model().net.msg_cost(false);
-                let depart = shuffle_lane.acquire(read_done, pack_and_post);
-                report.bytes_shuffled += logical_len as u64;
-                comm.post_framed_bytes_at(
-                    view.leader_of_node(node),
-                    frame_tag,
-                    wire,
-                    depart,
-                    logical_len,
-                );
-                shuffle_end = shuffle_end.max(depart);
             }
-        }
-        // The slot is reusable once the last piece was packed out of it.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, shuffle_end);
-        }
-        report
-            .segments
-            .push(Segment::new(shuffle_start, shuffle_end, Activity::Sys));
-        report.iterations.push(IterationTiming {
-            read: read_dur,
-            queue: queue_dur,
-            shuffle: shuffle_end.saturating_since(shuffle_start),
-        });
-        last = last.max(shuffle_end);
-    }
+            segments.push(Segment::new(shuffle_start, shuffle_end, Activity::Sys));
+            report.iterations.push(IterationTiming {
+                read: read_dur,
+                queue: read_dur.saturating_since(ideal),
+                shuffle: shuffle_end.saturating_since(shuffle_start),
+            });
+            // The slot is reusable once the last piece was packed out of it.
+            shuffle_end
+        },
+    );
+    report.bytes_read += bytes_read;
     last
 }
 
@@ -534,73 +353,38 @@ fn relay_read_frames(
     hints: &Hints,
     report: &mut TwoPhaseReport,
 ) -> SimTime {
-    let cpu = comm.model().cpu.clone();
     let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
     let relay_tag = TAG_SHUFFLE_RELAY | (tag & SEQ_MASK);
     let start = comm.clock();
-    let mut relay_lane = Lane::free_from(start);
+    let mut relay = ShuffleLane::new(start, &hints.compression);
     let mut last = start;
-    // Slots are walked in global (aggregator, iteration) order — the same
-    // order in which every member drains its relay stream, and in which
-    // each aggregator posts its frames, so FIFO matching pairs them up.
-    for a in 0..schedule.plan().aggregators.len() {
-        let agg_rank = schedule.aggregator_rank(a);
-        if view.node_of(agg_rank) == view.node {
-            continue; // same-node chunks are shuffled directly
-        }
-        for &iter in schedule.active_iterations(a) {
-            if schedule
-                .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-                .next()
-                .is_none()
-            {
-                continue; // no frame was sent for this chunk
+    for (a, agg_rank, iter) in remote_chunks(schedule, view) {
+        let (frame, arrival, decode) = recv_shuffle(comm, agg_rank, frame_tag, &hints.compression);
+        // A compressed frame is decoded once, on the relay lane.
+        relay.lane.acquire(arrival, decode);
+        let mut pos = 0usize;
+        for (dst, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
+            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+            let mut payload = comm.take_buf();
+            payload.extend_from_slice(&frame[pos..pos + len]);
+            pos += len;
+            // Splitting a contiguous section is a plain copy — the
+            // per-piece scatter cost was already paid by the aggregator
+            // when it packed the frame.
+            let (depart, _) = relay.post(comm, arrival, dst, relay_tag, payload, 0);
+            if dst != comm.rank() {
+                report.bytes_shuffled += len as u64;
             }
-            let (frame, info) = comm.recv_bytes_no_clock(agg_rank, frame_tag);
-            // Frames from remote aggregators arrive compressed when the
-            // hints say so; the leader decodes once (occupying the relay
-            // lane) and relays raw sections intra-node.
-            let frame = if hints.compression.is_on() {
-                let (logical, n) = decode_from_wire(comm, frame);
-                relay_lane.acquire(info.arrival, cpu.decompress_time(n));
-                logical
-            } else {
-                frame
-            };
-            let mut pos = 0usize;
-            for (dst, pieces) in
-                schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            {
-                let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-                let mut payload = comm.take_buf();
-                payload.extend_from_slice(&frame[pos..pos + len]);
-                pos += len;
-                // Splitting a contiguous section is a plain copy — the
-                // per-piece scatter cost was already paid by the
-                // aggregator when it packed the frame.
-                let cost = if dst == comm.rank() {
-                    cpu.memcpy_time(len)
-                } else {
-                    cpu.memcpy_time(len)
-                        + comm.model().net.wire_time(len, true)
-                        + comm.model().net.msg_cost(true)
-                };
-                let depart = relay_lane.acquire(info.arrival, cost);
-                if dst != comm.rank() {
-                    report.bytes_shuffled += len as u64;
-                }
-                comm.post_bytes_at(dst, relay_tag, payload, depart);
-                last = last.max(depart);
-            }
-            assert_eq!(
-                pos,
-                frame.len(),
-                "rank {}: shuffle frame length mismatch from rank {agg_rank} \
-                 (aggregator {a}, iteration {iter}, tag {frame_tag:#x})",
-                comm.rank(),
-            );
-            comm.recycle_buf(frame);
+            last = last.max(depart);
         }
+        assert_eq!(
+            pos,
+            frame.len(),
+            "rank {}: shuffle frame length mismatch from rank {agg_rank} \
+             (aggregator {a}, iteration {iter}, tag {frame_tag:#x})",
+            comm.rank(),
+        );
+        comm.recycle_buf(frame);
     }
     if last > start {
         report
@@ -614,6 +398,7 @@ fn relay_read_frames(
 mod tests {
     use super::*;
     use crate::extent::Extent;
+    use crate::hints::PipelineDepth;
     use cc_model::{ClusterModel, Topology};
     use cc_mpi::World;
     use cc_pfs::{MemBackend, StripeLayout};
@@ -776,7 +561,7 @@ mod tests {
                 })
                 .collect()
         };
-        let run = |nonblocking: bool| {
+        let run = |depth: PipelineDepth| {
             let fs = make_fs(2, 20_000, 4096, 2);
             let results = run_collective(
                 n,
@@ -784,7 +569,7 @@ mod tests {
                 &mk_req(),
                 Hints {
                     cb_buffer_size: 2000,
-                    nonblocking,
+                    pipeline_depth: depth,
                     ..Hints::default()
                 },
                 fs,
@@ -795,8 +580,8 @@ mod tests {
                 .max()
                 .expect("nonempty")
         };
-        let t_nb = run(true);
-        let t_b = run(false);
+        let t_nb = run(PipelineDepth::Unbounded);
+        let t_b = run(PipelineDepth::Sequential);
         assert!(
             t_nb <= t_b,
             "non-blocking {t_nb} should not exceed blocking {t_b}"

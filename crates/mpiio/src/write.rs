@@ -9,17 +9,18 @@
 //! because requests never overlap within one offset list and overlapping
 //! writes *across* ranks are application bugs MPI-IO leaves undefined.
 
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
 use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
 use crate::exchange::exchange_and_plan;
-use crate::extent::{Extent, OffsetList};
-use crate::hints::{Hints, Striping};
-use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
-use crate::twophase::{decode_from_wire, encode_for_wire};
+use crate::extent::{Extent, OffsetList, Piece};
+use crate::hints::Hints;
+use crate::pipeline::Staging;
+use crate::schedule::{PlanSchedule, PlanSource};
+use crate::shuffle::{pack, recv_shuffle, remote_chunks, unpack, ShuffleLane};
 
 /// Tag base for write-shuffle messages; each collective stamps its
 /// sequence number into the low bits (see `Comm::next_engine_tag`).
@@ -74,30 +75,7 @@ pub fn collective_write(
     data: &[u8],
     hints: &Hints,
 ) -> WriteReport {
-    collective_write_cached(comm, pfs, file, my_request, data, hints, None)
-}
-
-/// [`collective_write`] with an optional plan cache (see
-/// [`collective_read_cached`](crate::twophase::collective_read_cached) for
-/// the symmetry requirement on `cache`).
-pub fn collective_write_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    data: &[u8],
-    hints: &Hints,
-    cache: Option<&mut PlanCache>,
-) -> WriteReport {
-    collective_write_planned(
-        comm,
-        pfs,
-        file,
-        my_request,
-        data,
-        hints,
-        &mut PlanSource::from_option(cache),
-    )
+    collective_write_planned(comm, pfs, file, my_request, data, hints, &mut PlanSource::Fresh)
 }
 
 /// [`collective_write`] drawing its compiled schedule from an explicit
@@ -119,12 +97,7 @@ pub fn collective_write_planned(
         "rank {}: write buffer does not match the request size",
         comm.rank(),
     );
-    // Inject striping from the shared file handle (symmetric across
-    // ranks), mirroring the read engine: stripe-aware strategies and the
-    // plan-cache key see the layout as ordinary hints.
-    let mut hints = hints.clone();
-    hints.striping = Some(Striping::from(file.layout()));
-    let hints = &hints;
+    let hints = &hints.clone().striped_as(file.layout());
     let schedule = exchange_and_plan(comm, my_request, hints, plans);
     // All ranks passed through the request exchange, so the counter is
     // symmetric and this collective's shuffle tag is unique to it.
@@ -141,56 +114,27 @@ pub fn collective_write_planned(
     // leader coalesces them below.
     let hier = comm.hier_view();
     let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
-    let cpu = comm.model().cpu.clone();
-    let mut send_lane = Lane::free_from(comm.clock());
+    let mut sender = ShuffleLane::new(comm.clock(), &hints.compression);
     for (a, _, pieces) in schedule.sources_with_pieces(comm.rank()) {
         let agg_rank = schedule.aggregator_rank(a);
         if agg_rank == comm.rank() {
             // Own pieces are handed over locally in the aggregator loop.
             continue;
         }
-        let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
         let mut payload = comm.take_buf();
-        payload.reserve(piece_bytes);
-        for p in pieces {
-            let lo = p.buf_offset as usize;
-            payload.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
-        }
-        if let Some(view) = hier.as_ref().filter(|v| v.node_of(agg_rank) != v.node) {
-            // The leader's own contribution rides the self-send short
-            // circuit: no wire or posting cost, just the pack.
-            let mut cost = cpu.memcpy_time(payload.len())
-                + comm.model().net.scatter_cost().scale(pieces.len() as f64);
-            if comm.rank() != view.leader {
-                cost = cost
-                    + comm.model().net.wire_time(payload.len(), true)
-                    + comm.model().net.msg_cost(true);
-            }
-            let depart = send_lane.acquire(comm.clock(), cost);
-            report.bytes_shuffled += payload.len() as u64;
-            comm.post_bytes_at(view.leader, up_tag, payload, depart);
-            continue;
-        }
-        // Direct sends that cross the interconnect may travel compressed;
-        // intra-node sends always stay raw (cheap lane, nothing to save).
-        let same_node = comm.model().topology.same_node(comm.rank(), agg_rank);
-        let (wire, logical_len, compressed) =
-            encode_for_wire(comm, &hints.compression, same_node, payload);
-        let codec = if compressed {
-            cpu.compress_time(logical_len)
-        } else {
-            SimTime::ZERO
+        payload.reserve(pieces.iter().map(|p| p.extent.len as usize).sum());
+        pack(&mut payload, data, pieces, |p| p.buf_offset as usize);
+        // The leader's own up-message rides the self-send short circuit;
+        // direct sends that cross the interconnect may travel compressed.
+        let (dst, dst_tag) = match hier.as_ref() {
+            Some(view) if view.node_of(agg_rank) != view.node => (view.leader, up_tag),
+            _ => (agg_rank, tag),
         };
-        let cost = cpu.memcpy_time(logical_len)
-            + codec
-            + comm.model().net.scatter_cost().scale(pieces.len() as f64)
-            + comm.model().net.wire_time(wire.len(), same_node)
-            + comm.model().net.msg_cost(same_node);
-        let depart = send_lane.acquire(comm.clock(), cost);
-        report.bytes_shuffled += logical_len as u64;
-        comm.post_framed_bytes_at(agg_rank, tag, wire, depart, logical_len);
+        let ready = comm.clock();
+        let (_, logical) = sender.post(comm, ready, dst, dst_tag, payload, pieces.len());
+        report.bytes_shuffled += logical as u64;
     }
-    let sends_done = send_lane.free_at().max(comm.clock());
+    let sends_done = sender.lane.free_at().max(comm.clock());
     if sends_done > report.start {
         report
             .segments
@@ -246,69 +190,44 @@ fn coalesce_write_frames(
     hints: &Hints,
     report: &mut WriteReport,
 ) -> SimTime {
-    let cpu = comm.model().cpu.clone();
     let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
     let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
     let start = comm.clock();
-    let mut frame_lane = Lane::free_from(start);
+    let mut framer = ShuffleLane::new(start, &hints.compression);
     let mut last = start;
-    // Slots are walked in global (aggregator, iteration) order — the same
-    // order in which every member posts its up-messages and in which each
-    // aggregator drains its frame stream, so FIFO matching pairs them up.
-    for a in 0..schedule.plan().aggregators.len() {
-        let agg_rank = schedule.aggregator_rank(a);
-        if view.node_of(agg_rank) == view.node {
-            continue; // same-node chunks are shuffled directly
+    for (a, agg_rank, iter) in remote_chunks(schedule, view) {
+        let sources = || schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi);
+        // Pre-size the frame from the schedule's piece tables so
+        // coalescing never reallocates mid-concatenation.
+        let frame_bytes: usize = sources()
+            .flat_map(|(_, ps)| ps)
+            .map(|p| p.extent.len as usize)
+            .sum();
+        let mut frame = comm.take_buf();
+        frame.reserve(frame_bytes);
+        let mut arrival = start;
+        for (src, pieces) in sources() {
+            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+            // Up-messages stay on the node, so they always arrive raw.
+            let (payload, at, _) = recv_shuffle(comm, src, up_tag, &hints.compression);
+            assert_eq!(
+                payload.len(),
+                len,
+                "rank {}: write up-message length mismatch from rank {src} \
+                 (aggregator {a}, iteration {iter}, tag {up_tag:#x})",
+                comm.rank(),
+            );
+            arrival = arrival.max(at);
+            frame.extend_from_slice(&payload);
+            comm.recycle_buf(payload);
         }
-        for &iter in schedule.active_iterations(a) {
-            // Pre-size the frame from the schedule's piece tables so
-            // coalescing never reallocates mid-concatenation.
-            let frame_bytes: usize = schedule
-                .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-                .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
-                .sum();
-            if frame_bytes == 0 {
-                continue; // this node contributes nothing to the chunk
-            }
-            let mut frame = comm.take_buf();
-            frame.reserve(frame_bytes);
-            let mut arrival = start;
-            for (src, pieces) in
-                schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            {
-                let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-                let (payload, info) = comm.recv_bytes_no_clock(src, up_tag);
-                assert_eq!(
-                    payload.len(),
-                    len,
-                    "rank {}: write up-message length mismatch from rank {src} \
-                     (aggregator {a}, iteration {iter}, tag {up_tag:#x})",
-                    comm.rank(),
-                );
-                arrival = arrival.max(info.arrival);
-                frame.extend_from_slice(&payload);
-                comm.recycle_buf(payload);
-            }
-            // Concatenating contiguous payloads is a plain copy — the
-            // per-piece scatter cost was already paid by the members.
-            // The coalesced frame always crosses the interconnect, so it
-            // is compressed whenever the hints ask for it.
-            let (wire, logical_len, compressed) =
-                encode_for_wire(comm, &hints.compression, false, frame);
-            let codec = if compressed {
-                cpu.compress_time(logical_len)
-            } else {
-                SimTime::ZERO
-            };
-            let cost = cpu.memcpy_time(logical_len)
-                + codec
-                + comm.model().net.wire_time(wire.len(), false)
-                + comm.model().net.msg_cost(false);
-            let depart = frame_lane.acquire(arrival, cost);
-            report.bytes_shuffled += logical_len as u64;
-            comm.post_framed_bytes_at(agg_rank, frame_tag, wire, depart, logical_len);
-            last = last.max(depart);
-        }
+        // Concatenating contiguous payloads is a plain copy — the
+        // per-piece scatter cost was already paid by the members. The
+        // frame always crosses the interconnect, so it is compressed
+        // whenever the hints ask for it.
+        let (depart, logical) = framer.post(comm, arrival, agg_rank, frame_tag, frame, 0);
+        report.bytes_shuffled += logical as u64;
+        last = last.max(depart);
     }
     if last > start {
         report
@@ -337,28 +256,19 @@ fn run_write_aggregator(
     let cpu = comm.model().cpu.clone();
     let mut recv_done = comm.clock();
     let mut io_lane = Lane::free_from(comm.clock());
-    // Mirror of the read engine's staging discipline: bounded
-    // `PipelineDepth` rotates through that many assembly slots, so
-    // iteration `i`'s receives are floored at the write that frees slot
-    // `i - depth`; unbounded depth lets receives overlap writes freely
-    // (the engine's historical non-blocking behavior); blocking mode is
-    // depth 1 — the next chunk's receives cannot overlap the write.
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
-    };
-    let mut ring = depth.map(BufferRing::new);
+    // The read side's staging discipline, mirrored: iteration `i` is
+    // assembled in its slot once the write that drained the slot's
+    // previous occupant (iteration `i - depth`) has landed.
     let iters = schedule.active_iterations(agg_idx);
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
+    let mut staging = Staging::new(hints.pipeline_depth, iters.len());
     // Assembly slots reused (re-zeroed) round-robin across iterations.
-    let mut slots: Vec<Vec<u8>> = (0..nslots).map(|_| Vec::new()).collect();
+    let mut slots: Vec<Vec<u8>> = vec![Vec::new(); staging.slots()];
     let mut last = comm.clock();
 
     let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
     for (pos, &iter) in iters.iter().enumerate() {
         let (clo, chi) = schedule.chunk(agg_idx, iter);
-        let chunk = &mut slots[pos % nslots];
+        let chunk = &mut slots[staging.slot(pos)];
         chunk.clear();
         chunk.resize((chi - clo) as usize, 0);
         let npieces = schedule
@@ -366,104 +276,51 @@ fn run_write_aggregator(
             .map(|(_, ps)| ps.len())
             .sum();
         let mut extents: Vec<Extent> = Vec::with_capacity(npieces);
-        let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(pos));
-        let mut arrival = recv_done.max(floor);
-        // Pending coalesced frame from one remote node's leader: sources
-        // ascend, so each node's contributors form one contiguous run and
-        // the frame is drained exactly once, then flushed on the node
-        // boundary.
-        let mut frame: Option<(usize, usize, Vec<u8>)> = None; // (node, cursor, bytes)
-        for (src, pieces) in schedule.dests_with_pieces(agg_idx, iter) {
-            if let Some(view) = hier.filter(|v| v.node_of(src) != v.node) {
-                let src_node = view.node_of(src);
-                if frame.as_ref().map(|f| f.0) != Some(src_node) {
-                    if let Some((node, cursor, bytes)) = frame.take() {
-                        assert_eq!(
-                            cursor,
-                            bytes.len(),
-                            "rank {}: write frame length mismatch from node {node} \
-                             (aggregator {agg_idx}, iteration {iter}, tag {frame_tag:#x})",
-                            comm.rank(),
-                        );
-                        comm.recycle_buf(bytes);
-                    }
-                    let (bytes, info) =
-                        comm.recv_bytes_no_clock(view.leader_of_node(src_node), frame_tag);
-                    // Leader frames always cross the interconnect, so they
-                    // arrive compressed exactly when the hints ask for it.
-                    let (bytes, decode) = if hints.compression.is_on() {
-                        let (logical, n) = decode_from_wire(comm, bytes);
-                        (logical, cpu.decompress_time(n))
-                    } else {
-                        (bytes, SimTime::ZERO)
-                    };
-                    arrival = arrival.max(info.arrival + decode);
-                    frame = Some((src_node, 0, bytes));
-                }
-                let (_, cursor, bytes) = frame.as_mut().expect("frame just installed");
-                for p in pieces {
-                    let off = (p.extent.offset - clo) as usize;
-                    let len = p.extent.len as usize;
-                    chunk[off..off + len].copy_from_slice(&bytes[*cursor..*cursor + len]);
-                    *cursor += len;
-                    extents.push(p.extent);
-                }
-                continue;
-            }
-            let payload: Vec<u8>;
-            if src == comm.rank() {
+        let mut arrival = recv_done.max(staging.floor(pos));
+        let mut sources = schedule.dests_with_pieces(agg_idx, iter).peekable();
+        while let Some((src, pieces)) = sources.next() {
+            // A remote node's contributors arrive as one frame from its
+            // leader, their sections back to back in ascending rank order.
+            let frame = hier
+                .filter(|v| v.node_of(src) != v.node)
+                .map(|v| (v, v.node_of(src)));
+            let (from, from_tag) = match frame {
+                Some((view, node)) => (view.leader_of_node(node), frame_tag),
+                None => (src, tag),
+            };
+            let payload = if from == comm.rank() {
                 let mut own = comm.take_buf();
                 own.reserve(pieces.iter().map(|p| p.extent.len as usize).sum());
-                for p in pieces {
-                    let lo = p.buf_offset as usize;
-                    own.extend_from_slice(&my_data[lo..lo + p.extent.len as usize]);
-                }
+                pack(&mut own, my_data, pieces, |p| p.buf_offset as usize);
                 // Offsets of my own pieces come from my own request.
                 debug_assert_eq!(
                     my_request.bytes_in(clo, chi),
                     own.len() as u64,
                     "own piece extraction mismatch"
                 );
-                payload = own;
+                own
             } else {
-                let (bytes, info) = comm.recv_bytes_no_clock(src, tag);
-                let compressed = hints.compression.is_on()
-                    && !comm.model().topology.same_node(src, comm.rank());
-                if compressed {
-                    let (logical, n) = decode_from_wire(comm, bytes);
-                    arrival = arrival.max(info.arrival + cpu.decompress_time(n));
-                    payload = logical;
-                } else {
-                    arrival = arrival.max(info.arrival);
-                    payload = bytes;
+                let (bytes, at, decode) = recv_shuffle(comm, from, from_tag, &hints.compression);
+                arrival = arrival.max(at + decode);
+                bytes
+            };
+            let at = |p: &Piece| (p.extent.offset - clo) as usize;
+            let mut used = unpack(chunk, &payload, pieces, at);
+            extents.extend(pieces.iter().map(|p| p.extent));
+            if let Some((view, node)) = frame {
+                while let Some((_, more)) = sources.next_if(|&(s, _)| view.node_of(s) == node) {
+                    used += unpack(chunk, &payload[used..], more, at);
+                    extents.extend(more.iter().map(|p| p.extent));
                 }
             }
-            let mut cursor = 0usize;
-            for p in pieces {
-                let off = (p.extent.offset - clo) as usize;
-                let len = p.extent.len as usize;
-                chunk[off..off + len].copy_from_slice(&payload[cursor..cursor + len]);
-                cursor += len;
-                extents.push(p.extent);
-            }
             assert_eq!(
-                cursor,
+                used,
                 payload.len(),
-                "rank {}: write payload length mismatch from rank {src} \
-                 (aggregator {agg_idx}, iteration {iter}, tag {tag:#x})",
+                "rank {}: write payload length mismatch from rank {from} \
+                 (aggregator {agg_idx}, iteration {iter}, tag {from_tag:#x})",
                 comm.rank(),
             );
             comm.recycle_buf(payload);
-        }
-        if let Some((node, cursor, bytes)) = frame.take() {
-            assert_eq!(
-                cursor,
-                bytes.len(),
-                "rank {}: write frame length mismatch from node {node} \
-                 (aggregator {agg_idx}, iteration {iter}, tag {frame_tag:#x})",
-                comm.rank(),
-            );
-            comm.recycle_buf(bytes);
         }
         recv_done = arrival;
         // Merge the received extents and write the whole chunk as one
@@ -515,9 +372,7 @@ fn run_write_aggregator(
         }
         io_lane.advance_to(write_done);
         // The slot is free for iteration pos + depth once its write lands.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, write_done);
-        }
+        staging.drain(pos, write_done);
         report
             .segments
             .push(Segment::new(ready, write_done, Activity::Wait));

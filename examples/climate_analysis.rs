@@ -33,7 +33,6 @@ fn main() {
     let hints = Hints {
         cb_buffer_size: 1 << 20,
         aggregators_per_node: 6,
-        nonblocking: true,
         align_domains_to: Some(workload.stripe_size),
         ..Hints::default()
     };

@@ -54,5 +54,9 @@ fn main() {
     // The same value computed directly, for comparison.
     let expect: f64 =
         (0..rows * cols).map(|i| 250.0 + (i % 100) as f64).sum::<f64>() / (rows * cols) as f64;
-    println!("direct computation agrees: {}", (mean - expect).abs() < 1e-9);
+    assert!(
+        (mean - expect).abs() < 1e-9,
+        "collective mean {mean} disagrees with the direct computation {expect}"
+    );
+    println!("direct computation agrees: {expect:.3} K");
 }

@@ -17,7 +17,6 @@ fn setup() -> (ClimateWorkload, ClusterModel, Hints) {
     let hints = Hints {
         cb_buffer_size: 256 << 10,
         aggregators_per_node: 1,
-        nonblocking: true,
         align_domains_to: Some(workload.stripe_size),
         ..Hints::default()
     };
